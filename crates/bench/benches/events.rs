@@ -3,12 +3,18 @@
 //! profiling. Records the comparison in `BENCH_events.json` at the
 //! workspace root.
 //!
-//! Two questions, one workload (the fig5 ArrayList-growth program):
+//! Three questions over the fig5 ArrayList-growth programs:
 //! 1. per-event overhead — the same instrumented execution driving a
 //!    `NoopSink`, one live `AlgoProf`, and a `Fanout` of 4 `AlgoProf`s
-//!    (one per equivalence criterion);
+//!    (one per equivalence criterion), on the doubling program;
 //! 2. single-pass payoff — `Tee(recorder, Fanout×4)` in one execution
-//!    vs the old pipeline of one recording plus 4 replays.
+//!    vs the old pipeline of one recording plus 4 replays;
+//! 3. the profiler-sink gate — on the grow-by-one program, live
+//!    profiling must cost at most 2× the fused noop run.
+//!
+//! Every profiled run executes the *fused* program, as the CLI, sweep
+//! and serve do; the unfused noop run is kept only to report the
+//! dispatch speedup of fusion.
 //!
 //! Not a `criterion_group!` bench: each measured unit is a whole guest
 //! execution, so this harness times runs with `std::time::Instant` and
@@ -66,6 +72,13 @@ fn run_events(program: &CompiledProgram) -> u64 {
         .instructions
 }
 
+/// One live `AlgoProf` run of `program`; returns the algorithm count.
+fn live_profile(program: &CompiledProgram) -> usize {
+    let mut prof = AlgoProf::new();
+    Interp::new(program).run(&mut prof).expect("runs");
+    prof.finish(program).algorithms().len()
+}
+
 fn main() {
     let (n, reps) = if quick_mode() { (200, 2) } else { (1000, 5) };
     // The noop runs are the headline ns/instr numbers and cheap (~2 ms
@@ -74,13 +87,13 @@ fn main() {
     let noop_reps = if quick_mode() { 2 } else { 40 };
     let src = array_list_program(GrowthPolicy::Doubling, n, 100, 1);
     let instrument = InstrumentOptions::default();
-    let program = compile(&src).expect("compiles").instrument(&instrument);
-    let fused = program.fuse();
+    let unfused = compile(&src).expect("compiles").instrument(&instrument);
+    let program = unfused.fuse();
     let header = TraceHeader::new(&src, &instrument, &[]);
-    let instructions = run_events(&program);
+    let instructions = run_events(&unfused);
     assert_eq!(
         instructions,
-        run_events(&fused),
+        run_events(&program),
         "fusion must not change the logical instruction count"
     );
     println!("group events");
@@ -89,13 +102,9 @@ fn main() {
     // 1. Per-event dispatch overhead of increasingly loaded sinks —
     //    plus the payoff of profile-guided superinstruction dispatch
     //    (same logical event stream, fewer dispatch-loop iterations).
-    let (t_noop, _) = min_of(noop_reps, || run_events(&program));
-    let (t_noop_fused, _) = min_of(noop_reps, || run_events(&fused));
-    let (t_one, algos_one) = min_of(reps, || {
-        let mut prof = AlgoProf::new();
-        Interp::new(&program).run(&mut prof).expect("runs");
-        prof.finish(&program).algorithms().len()
-    });
+    let (t_noop, _) = min_of(noop_reps, || run_events(&unfused));
+    let (t_noop_fused, _) = min_of(noop_reps, || run_events(&program));
+    let (t_one, algos_one) = min_of(reps, || live_profile(&program));
     let (t_fan4, algos_fan) = min_of(reps, || {
         let mut fan = Fanout::new(ablation_profilers());
         Interp::new(&program).run(&mut fan).expect("runs");
@@ -171,6 +180,27 @@ fn main() {
     println!("  events/record_4replays  min {t_replay:>12.3?}");
     println!("  events/single_pass_speedup               {speedup:>12.2}x");
 
+    // 3. The gate workload: grow-by-one, live vs fused noop.
+    let by_one = compile(&array_list_program(GrowthPolicy::ByOne, n, 100, 1))
+        .expect("compiles")
+        .instrument(&instrument)
+        .fuse();
+    let by_one_instructions = run_events(&by_one);
+    let (t_by_one_noop, _) = min_of(noop_reps, || run_events(&by_one));
+    let (t_by_one_live, _) = min_of(reps, || live_profile(&by_one));
+    let by_one_per_event = |t: Duration| t.as_secs_f64() * 1e9 / by_one_instructions as f64;
+    let gate_ratio = t_by_one_live.as_secs_f64() / t_by_one_noop.as_secs_f64().max(1e-9);
+    println!("  by-one workload: n={n}, {by_one_instructions} instructions");
+    println!(
+        "  events/by_one_noop_fused min {t_by_one_noop:>11.3?}   ({:.1} ns/instr)",
+        by_one_per_event(t_by_one_noop)
+    );
+    println!(
+        "  events/by_one_live      min {t_by_one_live:>12.3?}   ({:.1} ns/instr)",
+        by_one_per_event(t_by_one_live)
+    );
+    println!("  events/by_one_live_over_noop_fused       {gate_ratio:>12.2}x (gate: <= 2)");
+
     let json = format!(
         "{{\n  \"bench\": \"events\",\n  \"workload\": \"fig5 arraylist doubling n={n}\",\n  \
          \"quick\": {},\n  \"instructions\": {instructions},\n  \
@@ -182,7 +212,12 @@ fn main() {
          \"fanout_4x\": {:.3},\n    \"single_pass_4x\": {:.3},\n    \
          \"record_4replays\": {:.3}\n  }},\n  \
          \"fused_dispatch_speedup\": {:.3},\n  \
-         \"single_pass_speedup\": {speedup:.3}\n}}\n",
+         \"single_pass_speedup\": {speedup:.3},\n  \
+         \"by_one\": {{\n    \"workload\": \"fig5 arraylist by-one n={n}\",\n    \
+         \"instructions\": {by_one_instructions},\n    \
+         \"ns_per_instr\": {{\"noop_sink_fused\": {:.3}, \"algoprof_live\": {:.3}}},\n    \
+         \"live_over_noop_fused\": {gate_ratio:.3},\n    \
+         \"gate_live_le_2x_noop_fused\": {}\n  }}\n}}\n",
         quick_mode(),
         per_event(t_noop),
         per_event(t_noop_fused),
@@ -195,6 +230,9 @@ fn main() {
         t_single.as_secs_f64() * 1e3,
         t_replay.as_secs_f64() * 1e3,
         t_noop.as_secs_f64() / t_noop_fused.as_secs_f64().max(1e-9),
+        by_one_per_event(t_by_one_noop),
+        by_one_per_event(t_by_one_live),
+        gate_ratio <= 2.0,
     );
     // cargo runs benches with the package as cwd; anchor the artifact at
     // the workspace root regardless.

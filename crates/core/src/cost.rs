@@ -5,7 +5,6 @@
 //! writes (also broken down by element type), element creations, and
 //! external input/output operations.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use algoprof_vm::ClassId;
@@ -80,10 +79,13 @@ pub enum CostKey {
 
 /// A multiset of primitive-operation counts.
 ///
-/// Ordered map so reports are deterministic.
+/// Stored as a vector of `(key, count)` pairs sorted by key, so reports
+/// are deterministic. Per-invocation maps hold a handful of keys, so a
+/// binary search over one contiguous vector beats a tree on the
+/// per-event [`CostMap::bump`] path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostMap {
-    counts: BTreeMap<CostKey, u64>,
+    counts: Vec<(CostKey, u64)>,
 }
 
 impl CostMap {
@@ -93,20 +95,29 @@ impl CostMap {
     }
 
     /// Increments the count for `key` by one.
+    #[inline]
     pub fn bump(&mut self, key: CostKey) {
-        *self.counts.entry(key).or_insert(0) += 1;
+        self.add(key, 1);
     }
 
     /// Adds `n` to the count for `key`.
+    #[inline]
     pub fn add(&mut self, key: CostKey, n: u64) {
-        if n > 0 {
-            *self.counts.entry(key).or_insert(0) += n;
+        if n == 0 {
+            return;
+        }
+        match self.counts.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.counts[i].1 += n,
+            Err(i) => self.counts.insert(i, (key, n)),
         }
     }
 
     /// The count for `key` (0 when absent).
     pub fn get(&self, key: CostKey) -> u64 {
-        self.counts.get(&key).copied().unwrap_or(0)
+        match self.counts.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.counts[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// Number of algorithmic steps.
@@ -122,14 +133,14 @@ impl CostMap {
     /// Merges `other` into `self` (used when combining child costs into a
     /// parent, paper §2.6).
     pub fn merge(&mut self, other: &CostMap) {
-        for (&k, &v) in &other.counts {
+        for (k, v) in other.iter() {
             self.add(k, v);
         }
     }
 
     /// Iterates over `(key, count)` pairs in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (CostKey, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
+        self.counts.iter().copied()
     }
 
     /// Whether no operation was counted.
@@ -161,15 +172,14 @@ impl CostMap {
 
     /// Total structure/array reads across all inputs.
     pub fn total_reads(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter_map(|(k, v)| match k {
                 CostKey::StructAccess {
                     op: AccessOp::Read, ..
                 }
                 | CostKey::ArrayAccess {
                     op: AccessOp::Read, ..
-                } => Some(*v),
+                } => Some(v),
                 _ => None,
             })
             .sum()
@@ -177,8 +187,7 @@ impl CostMap {
 
     /// Total structure/array writes across all inputs.
     pub fn total_writes(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter_map(|(k, v)| match k {
                 CostKey::StructAccess {
                     op: AccessOp::Write,
@@ -187,7 +196,7 @@ impl CostMap {
                 | CostKey::ArrayAccess {
                     op: AccessOp::Write,
                     ..
-                } => Some(*v),
+                } => Some(v),
                 _ => None,
             })
             .sum()
@@ -195,10 +204,9 @@ impl CostMap {
 
     /// Total element creations across all classes.
     pub fn creations(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter_map(|(k, v)| match k {
-                CostKey::Creation { .. } => Some(*v),
+                CostKey::Creation { .. } => Some(v),
                 _ => None,
             })
             .sum()
@@ -211,10 +219,9 @@ impl CostMap {
 
     /// Classes allocated in this cost map.
     pub fn created_classes(&self) -> Vec<ClassId> {
-        self.counts
-            .keys()
-            .filter_map(|k| match k {
-                CostKey::Creation { class } => Some(*class),
+        self.iter()
+            .filter_map(|(k, _)| match k {
+                CostKey::Creation { class } => Some(class),
                 _ => None,
             })
             .collect()

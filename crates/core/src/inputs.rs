@@ -13,7 +13,7 @@
 //!   "Some Elements Identical" behaviour for reallocated arrays without
 //!   accidentally merging unrelated arrays that happen to share values.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use algoprof_vm::bytecode::ElemKind;
@@ -21,6 +21,7 @@ use algoprof_vm::{ClassId, CompiledProgram};
 
 use algoprof_vm::{Heap, Value};
 
+use crate::reftable::RefTable;
 use crate::snapshot::{
     measure_value, try_partial_array, try_partial_structure, ArraySizeStrategy, ElemKey,
     EquivalenceCriterion, IncrementalMode, Measurement, Snapshot, SnapshotKind, SnapshotStats,
@@ -123,7 +124,7 @@ impl InputInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputRegistry {
     inputs: Vec<InputInfo>,
-    ref_map: HashMap<ElemKey, InputId>,
+    ref_map: RefTable<InputId>,
     criterion: EquivalenceCriterion,
     array_strategy: ArraySizeStrategy,
     incremental: IncrementalMode,
@@ -145,7 +146,7 @@ impl InputRegistry {
     ) -> Self {
         InputRegistry {
             inputs: Vec::new(),
-            ref_map: HashMap::new(),
+            ref_map: RefTable::new(),
             criterion,
             array_strategy,
             incremental,
@@ -176,7 +177,7 @@ impl InputRegistry {
     /// Fast path: resolves a heap reference key previously seen in a
     /// snapshot.
     pub fn resolve_ref(&self, key: ElemKey) -> Option<InputId> {
-        self.ref_map.get(&key).copied()
+        self.ref_map.get(key)
     }
 
     /// Resolves measurement `m` to an existing or fresh input.
@@ -199,7 +200,7 @@ impl InputRegistry {
             EquivalenceCriterion::SomeElements => {
                 // Reference identity first.
                 for key in snap.ref_keys() {
-                    if let Some(&id) = self.ref_map.get(&key) {
+                    if let Some(id) = self.ref_map.get(key) {
                         return Some(id);
                     }
                 }
@@ -216,7 +217,7 @@ impl InputRegistry {
             EquivalenceCriterion::AllElements => {
                 let mut seen: Vec<InputId> = candidates.to_vec();
                 for key in snap.ref_keys() {
-                    if let Some(&id) = self.ref_map.get(&key) {
+                    if let Some(id) = self.ref_map.get(key) {
                         seen.push(id);
                     }
                 }
@@ -234,13 +235,13 @@ impl InputRegistry {
                         ElemKey::Arr(a) => Some(ElemKey::Arr(*a)),
                         _ => None,
                     })?;
-                    self.ref_map.get(&root).copied()
+                    self.ref_map.get(root)
                 }
                 // The paper notes SameArray only works for arrays;
                 // structures fall back to reference overlap.
-                SnapshotKind::Structure { .. } => snap
-                    .ref_keys()
-                    .find_map(|key| self.ref_map.get(&key).copied()),
+                SnapshotKind::Structure { .. } => {
+                    snap.ref_keys().find_map(|key| self.ref_map.get(key))
+                }
             },
             EquivalenceCriterion::SameType => self
                 .inputs

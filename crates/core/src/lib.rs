@@ -59,6 +59,7 @@ pub mod jobs;
 pub mod pool;
 pub mod profile;
 pub mod profiler;
+mod reftable;
 pub mod report;
 pub mod reptree;
 pub mod run;

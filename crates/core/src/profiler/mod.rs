@@ -45,13 +45,14 @@
 pub mod attribution;
 pub mod repetition;
 
-use std::collections::HashMap;
-
-use algoprof_vm::{CompiledProgram, Event, EventCx, EventSink, ThreadId, Value};
+use algoprof_vm::{
+    CompiledProgram, Event, EventCx, EventKind, EventMask, EventSink, ThreadId, Value,
+};
 
 use crate::cost::{AccessOp, CostKey};
 use crate::inputs::InputRegistry;
 use crate::profile::{AlgorithmicProfile, ProfileSet};
+use crate::reftable::RefTable;
 use crate::reptree::RepTree;
 use crate::snapshot::{
     ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, SnapshotStats,
@@ -129,9 +130,9 @@ pub struct AlgoProf {
     /// Index of the thread currently executing (the stream starts
     /// implicitly in the main thread).
     cur: usize,
-    /// Last thread to write each heap location (allocation counts as a
-    /// write). Drives the cross-thread read rule.
-    last_writer: HashMap<ElemKey, usize>,
+    /// Index of the last thread to write each heap location (allocation
+    /// counts as a write). Drives the cross-thread read rule.
+    last_writer: RefTable<u32>,
 }
 
 impl AlgoProf {
@@ -147,7 +148,7 @@ impl AlgoProf {
             opts,
             threads: vec![(RepetitionStage::new(), AttributionStage::new(&opts))],
             cur: 0,
-            last_writer: HashMap::new(),
+            last_writer: RefTable::new(),
         }
     }
 
@@ -180,9 +181,10 @@ impl AlgoProf {
             Value::Arr(a) => ElemKey::Arr(a),
             _ => return,
         };
-        let Some(&w) = self.last_writer.get(&key) else {
+        let Some(w) = self.last_writer.get(key) else {
             return;
         };
+        let w = w as usize;
         if w == self.cur || w >= self.threads.len() {
             return;
         }
@@ -261,6 +263,9 @@ impl Default for AlgoProf {
 }
 
 impl EventSink for AlgoProf {
+    /// Instruction ticks carry no algorithmic cost.
+    const INTERESTS: EventMask = EventMask::ALL.without(EventKind::Instruction);
+
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         let (program, heap) = (cx.program, cx.heap);
         match *ev {
@@ -291,7 +296,7 @@ impl EventSink for AlgoProf {
                 attr.on_access(rep, obj, AccessOp::Read, target, program, heap);
             }
             Event::FieldWrite { obj, tracked, .. } => {
-                self.last_writer.insert(ElemKey::Obj(obj), self.cur);
+                self.last_writer.insert(ElemKey::Obj(obj), self.cur as u32);
                 if tracked {
                     let target = AccessTarget::Field(Some(heap.object(obj).class));
                     let (rep, attr) = self.pipeline();
@@ -304,7 +309,7 @@ impl EventSink for AlgoProf {
                 attr.on_access(rep, arr, AccessOp::Read, AccessTarget::Array, program, heap);
             }
             Event::ArrayWrite { arr, tracked, .. } => {
-                self.last_writer.insert(ElemKey::Arr(arr), self.cur);
+                self.last_writer.insert(ElemKey::Arr(arr), self.cur as u32);
                 if tracked {
                     let (rep, attr) = self.pipeline();
                     attr.on_access(
@@ -322,13 +327,13 @@ impl EventSink for AlgoProf {
                 class,
                 tracked,
             } => {
-                self.last_writer.insert(ElemKey::Obj(obj), self.cur);
+                self.last_writer.insert(ElemKey::Obj(obj), self.cur as u32);
                 if tracked {
                     self.pipeline().0.bump(CostKey::Creation { class });
                 }
             }
             Event::ArrayAlloc { arr, .. } => {
-                self.last_writer.insert(ElemKey::Arr(arr), self.cur);
+                self.last_writer.insert(ElemKey::Arr(arr), self.cur as u32);
             }
             Event::InputRead => {
                 let (rep, attr) = self.pipeline();

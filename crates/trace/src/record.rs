@@ -13,7 +13,7 @@
 
 use std::io::{self, Write};
 
-use algoprof_vm::{ArrRef, Event, EventCx, EventSink, ObjRef, Value};
+use algoprof_vm::{ArrRef, Event, EventCx, EventKind, EventMask, EventSink, ObjRef, Value};
 
 use crate::format::{
     TraceHeader, TAG_ARRAY_ALLOCATED, TAG_ARRAY_LOAD, TAG_ARRAY_WRITTEN, TAG_END, TAG_FIELD_GET,
@@ -178,6 +178,9 @@ impl<W: Write> TraceRecorder<W> {
 }
 
 impl<W: Write> EventSink for TraceRecorder<W> {
+    /// Instruction ticks are not stored in traces.
+    const INTERESTS: EventMask = EventMask::ALL.without(EventKind::Instruction);
+
     fn event(&mut self, ev: &Event, _cx: &EventCx<'_>) {
         match *ev {
             Event::MethodEntry { func } => self.put_id(TAG_METHOD_ENTRY, func.0),

@@ -10,6 +10,10 @@
 //! * [`Fanout<S>`] delivers each event to a vector of sinks in index
 //!   order (slot 0 first).
 //!
+//! Each sink declares the [`EventKind`]s it reads in
+//! [`EventSink::INTERESTS`]; the interpreter and [`Tee`] skip the rest
+//! (see the trait docs).
+//!
 //! Delivery order is deterministic and documented because recorded traces
 //! must be byte-identical regardless of which other sinks observe the same
 //! run, and because AlgoProf's input identification reads the heap at event
@@ -221,10 +225,139 @@ pub struct EventCx<'a> {
     pub heap: &'a Heap,
 }
 
+/// The payload-free kind of an [`Event`]: one variant per event variant,
+/// in declaration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// [`Event::MethodEntry`].
+    MethodEntry,
+    /// [`Event::MethodExit`].
+    MethodExit,
+    /// [`Event::LoopEntry`].
+    LoopEntry,
+    /// [`Event::LoopBackEdge`].
+    LoopBackEdge,
+    /// [`Event::LoopExit`].
+    LoopExit,
+    /// [`Event::FieldRead`].
+    FieldRead,
+    /// [`Event::FieldWrite`].
+    FieldWrite,
+    /// [`Event::ArrayRead`].
+    ArrayRead,
+    /// [`Event::ArrayWrite`].
+    ArrayWrite,
+    /// [`Event::ObjectAlloc`].
+    ObjectAlloc,
+    /// [`Event::ArrayAlloc`].
+    ArrayAlloc,
+    /// [`Event::InputRead`].
+    InputRead,
+    /// [`Event::OutputWrite`].
+    OutputWrite,
+    /// [`Event::ThreadSpawn`].
+    ThreadSpawn,
+    /// [`Event::ThreadSwitch`].
+    ThreadSwitch,
+    /// [`Event::ThreadEnd`].
+    ThreadEnd,
+    /// [`Event::LockAcquire`].
+    LockAcquire,
+    /// [`Event::LockRelease`].
+    LockRelease,
+    /// [`Event::LockWait`].
+    LockWait,
+    /// [`Event::Instruction`].
+    Instruction,
+}
+
+impl EventKind {
+    /// Number of event kinds (`Instruction` is the last variant).
+    pub const COUNT: usize = EventKind::Instruction as usize + 1;
+
+    /// The kind's stable, lower-snake-case name (see [`Event::name`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::MethodEntry => "method_entry",
+            EventKind::MethodExit => "method_exit",
+            EventKind::LoopEntry => "loop_entry",
+            EventKind::LoopBackEdge => "loop_back_edge",
+            EventKind::LoopExit => "loop_exit",
+            EventKind::FieldRead => "field_read",
+            EventKind::FieldWrite => "field_write",
+            EventKind::ArrayRead => "array_read",
+            EventKind::ArrayWrite => "array_write",
+            EventKind::ObjectAlloc => "object_alloc",
+            EventKind::ArrayAlloc => "array_alloc",
+            EventKind::InputRead => "input_read",
+            EventKind::OutputWrite => "output_write",
+            EventKind::ThreadSpawn => "thread_spawn",
+            EventKind::ThreadSwitch => "thread_switch",
+            EventKind::ThreadEnd => "thread_end",
+            EventKind::LockAcquire => "lock_acquire",
+            EventKind::LockRelease => "lock_release",
+            EventKind::LockWait => "lock_wait",
+            EventKind::Instruction => "instruction",
+        }
+    }
+}
+
+/// A set of [`EventKind`]s: the events a sink wants delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventMask(u32);
+
+impl EventMask {
+    /// No events at all.
+    pub const NONE: EventMask = EventMask(0);
+    /// Every event kind.
+    pub const ALL: EventMask = EventMask((1 << EventKind::COUNT) - 1);
+
+    /// The set holding only `kind`.
+    pub const fn only(kind: EventKind) -> EventMask {
+        EventMask(1 << kind as u32)
+    }
+
+    /// The kinds in `self`, in `other`, or in both.
+    pub const fn union(self, other: EventMask) -> EventMask {
+        EventMask(self.0 | other.0)
+    }
+
+    /// `self` with `kind` removed.
+    pub const fn without(self, kind: EventKind) -> EventMask {
+        EventMask(self.0 & !EventMask::only(kind).0)
+    }
+
+    /// Whether `kind` is in the set.
+    #[inline]
+    pub const fn contains(self, kind: EventKind) -> bool {
+        self.0 & EventMask::only(kind).0 != 0
+    }
+}
+
 /// Receives the profiling event stream, one call per event.
 ///
-/// Static dispatch: an uninstrumented run with [`NoopSink`] pays nothing.
+/// Static dispatch: every driver and combinator is generic over its
+/// sink, so each sink stack gets its own monomorphised copy of the
+/// interpreter loop.
+///
+/// # Interests
+///
+/// A sink declares the event kinds it reads in [`EventSink::INTERESTS`].
+/// The interpreter consults this constant and neither builds nor
+/// delivers an event no sink in the stack asked for, and [`Tee`] hands
+/// each side only the kinds that side asked for. So an uninstrumented
+/// run with [`NoopSink`] (the empty mask) pays only for the
+/// interpreter's own counters. Declaring a mask is a promise that
+/// [`EventSink::event`] ignores every other kind, which a caller may
+/// still deliver (the trace replayer does not filter); the default,
+/// [`EventMask::ALL`], is always correct and never faster.
+///
+/// The associated constant makes the trait not dyn-compatible: compose
+/// sinks with the generic combinators, not `dyn EventSink`.
 pub trait EventSink {
+    /// The event kinds this sink reads.
+    const INTERESTS: EventMask = EventMask::ALL;
+
     /// Observe one event. `cx.heap` already reflects the event's effect.
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>);
 }
@@ -237,18 +370,24 @@ pub trait EventSink {
 pub struct NoopSink;
 
 impl EventSink for NoopSink {
+    const INTERESTS: EventMask = EventMask::NONE;
+
     #[inline]
     fn event(&mut self, _ev: &Event, _cx: &EventCx<'_>) {}
 }
 
 impl<S: EventSink + ?Sized> EventSink for &mut S {
+    const INTERESTS: EventMask = S::INTERESTS;
+
     #[inline]
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         (**self).event(ev, cx);
     }
 }
 
-/// Delivers every event to two sinks: `a` first, then `b`.
+/// Delivers every event to two sinks: `a` first, then `b`. Each side
+/// only receives the kinds in its own [`EventSink::INTERESTS`]; the tee
+/// wants the union of both.
 ///
 /// The order is part of the contract — e.g. `Tee<TraceRecorder, AlgoProf>`
 /// guarantees the recorder serializes each event before the profiler
@@ -270,10 +409,17 @@ impl<A, B> Tee<A, B> {
 }
 
 impl<A: EventSink, B: EventSink> EventSink for Tee<A, B> {
+    const INTERESTS: EventMask = A::INTERESTS.union(B::INTERESTS);
+
     #[inline]
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
-        self.a.event(ev, cx);
-        self.b.event(ev, cx);
+        let kind = ev.kind();
+        if A::INTERESTS.contains(kind) {
+            self.a.event(ev, cx);
+        }
+        if B::INTERESTS.contains(kind) {
+            self.b.event(ev, cx);
+        }
     }
 }
 
@@ -301,6 +447,8 @@ impl<S> Fanout<S> {
 }
 
 impl<S: EventSink> EventSink for Fanout<S> {
+    const INTERESTS: EventMask = S::INTERESTS;
+
     #[inline]
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         for sink in &mut self.sinks {
@@ -352,31 +500,37 @@ fn elem_kind_name(elem: ElemKind) -> &'static str {
 }
 
 impl Event {
+    /// The event's payload-free kind.
+    #[inline]
+    pub const fn kind(&self) -> EventKind {
+        match self {
+            Event::MethodEntry { .. } => EventKind::MethodEntry,
+            Event::MethodExit { .. } => EventKind::MethodExit,
+            Event::LoopEntry { .. } => EventKind::LoopEntry,
+            Event::LoopBackEdge { .. } => EventKind::LoopBackEdge,
+            Event::LoopExit { .. } => EventKind::LoopExit,
+            Event::FieldRead { .. } => EventKind::FieldRead,
+            Event::FieldWrite { .. } => EventKind::FieldWrite,
+            Event::ArrayRead { .. } => EventKind::ArrayRead,
+            Event::ArrayWrite { .. } => EventKind::ArrayWrite,
+            Event::ObjectAlloc { .. } => EventKind::ObjectAlloc,
+            Event::ArrayAlloc { .. } => EventKind::ArrayAlloc,
+            Event::InputRead => EventKind::InputRead,
+            Event::OutputWrite => EventKind::OutputWrite,
+            Event::ThreadSpawn { .. } => EventKind::ThreadSpawn,
+            Event::ThreadSwitch { .. } => EventKind::ThreadSwitch,
+            Event::ThreadEnd { .. } => EventKind::ThreadEnd,
+            Event::LockAcquire { .. } => EventKind::LockAcquire,
+            Event::LockRelease { .. } => EventKind::LockRelease,
+            Event::LockWait { .. } => EventKind::LockWait,
+            Event::Instruction { .. } => EventKind::Instruction,
+        }
+    }
+
     /// The event's stable, lower-snake-case name (shared by the text and
     /// JSON renderings and the `algoprof events` output).
     pub fn name(&self) -> &'static str {
-        match self {
-            Event::MethodEntry { .. } => "method_entry",
-            Event::MethodExit { .. } => "method_exit",
-            Event::LoopEntry { .. } => "loop_entry",
-            Event::LoopBackEdge { .. } => "loop_back_edge",
-            Event::LoopExit { .. } => "loop_exit",
-            Event::FieldRead { .. } => "field_read",
-            Event::FieldWrite { .. } => "field_write",
-            Event::ArrayRead { .. } => "array_read",
-            Event::ArrayWrite { .. } => "array_write",
-            Event::ObjectAlloc { .. } => "object_alloc",
-            Event::ArrayAlloc { .. } => "array_alloc",
-            Event::InputRead => "input_read",
-            Event::OutputWrite => "output_write",
-            Event::ThreadSpawn { .. } => "thread_spawn",
-            Event::ThreadSwitch { .. } => "thread_switch",
-            Event::ThreadEnd { .. } => "thread_end",
-            Event::LockAcquire { .. } => "lock_acquire",
-            Event::LockRelease { .. } => "lock_release",
-            Event::LockWait { .. } => "lock_wait",
-            Event::Instruction { .. } => "instruction",
-        }
+        self.kind().name()
     }
 
     /// Renders the event as one human-readable line, resolving ids to
@@ -675,6 +829,127 @@ mod tests {
         assert_eq!(
             log.into_inner(),
             vec!["x:input_read", "y:input_read", "z:input_read"]
+        );
+    }
+
+    /// Reads only loop events, to check masks compose by union.
+    struct LoopsOnly;
+
+    impl EventSink for LoopsOnly {
+        const INTERESTS: EventMask = EventMask::only(EventKind::LoopEntry)
+            .union(EventMask::only(EventKind::LoopBackEdge))
+            .union(EventMask::only(EventKind::LoopExit));
+
+        fn event(&mut self, _ev: &Event, _cx: &EventCx<'_>) {}
+    }
+
+    /// Reads only instruction ticks.
+    struct InstructionsOnly;
+
+    impl EventSink for InstructionsOnly {
+        const INTERESTS: EventMask = EventMask::only(EventKind::Instruction);
+
+        fn event(&mut self, _ev: &Event, _cx: &EventCx<'_>) {}
+    }
+
+    fn interests<S: EventSink>(_: &S) -> EventMask {
+        S::INTERESTS
+    }
+
+    #[test]
+    fn default_interests_are_every_kind() {
+        let log = std::cell::RefCell::new(Vec::new());
+        let sink = Recording {
+            tag: "r",
+            log: &log,
+        };
+        assert_eq!(interests(&sink), EventMask::ALL);
+        let all = [
+            EventKind::MethodEntry,
+            EventKind::MethodExit,
+            EventKind::LoopEntry,
+            EventKind::LoopBackEdge,
+            EventKind::LoopExit,
+            EventKind::FieldRead,
+            EventKind::FieldWrite,
+            EventKind::ArrayRead,
+            EventKind::ArrayWrite,
+            EventKind::ObjectAlloc,
+            EventKind::ArrayAlloc,
+            EventKind::InputRead,
+            EventKind::OutputWrite,
+            EventKind::ThreadSpawn,
+            EventKind::ThreadSwitch,
+            EventKind::ThreadEnd,
+            EventKind::LockAcquire,
+            EventKind::LockRelease,
+            EventKind::LockWait,
+            EventKind::Instruction,
+        ];
+        assert_eq!(all.len(), EventKind::COUNT);
+        assert!(all.iter().all(|&k| EventMask::ALL.contains(k)));
+        assert!(!all.iter().any(|&k| EventMask::NONE.contains(k)));
+    }
+
+    #[test]
+    fn noop_sink_wants_nothing() {
+        assert_eq!(interests(&NoopSink), EventMask::NONE);
+    }
+
+    #[test]
+    fn tee_takes_the_union_and_wrappers_pass_through() {
+        let loops = interests(&LoopsOnly);
+        let instrs = interests(&InstructionsOnly);
+        let tee = interests(&Tee::new(LoopsOnly, InstructionsOnly));
+        assert_eq!(tee, loops.union(instrs));
+        assert!(tee.contains(EventKind::LoopBackEdge));
+        assert!(tee.contains(EventKind::Instruction));
+        assert!(!tee.contains(EventKind::FieldRead));
+        assert_eq!(interests(&Tee::new(NoopSink, LoopsOnly)), loops);
+        assert_eq!(interests(&Fanout::new(vec![LoopsOnly])), loops);
+        assert_eq!(
+            interests(&Fanout::<NoopSink>::new(Vec::new())),
+            EventMask::NONE
+        );
+        let mut inner = InstructionsOnly;
+        assert_eq!(interests(&&mut inner), instrs);
+        assert!(!EventMask::ALL
+            .without(EventKind::Instruction)
+            .contains(EventKind::Instruction));
+    }
+
+    #[test]
+    fn tee_skips_the_side_that_did_not_ask() {
+        let (program, heap) = cx_fixture();
+        let cx = EventCx {
+            program: &program,
+            heap: &heap,
+        };
+        /// Logs like `Recording`, but only wants loop exits.
+        struct ExitsOnly<'a>(Recording<'a>);
+        impl EventSink for ExitsOnly<'_> {
+            const INTERESTS: EventMask = EventMask::only(EventKind::LoopExit);
+            fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
+                self.0.event(ev, cx);
+            }
+        }
+        let log = std::cell::RefCell::new(Vec::new());
+        let mut tee = Tee::new(
+            ExitsOnly(Recording {
+                tag: "a",
+                log: &log,
+            }),
+            Recording {
+                tag: "b",
+                log: &log,
+            },
+        );
+        let l = crate::bytecode::LoopId(0);
+        tee.event(&Event::LoopEntry { l }, &cx);
+        tee.event(&Event::LoopExit { l }, &cx);
+        assert_eq!(
+            log.into_inner(),
+            vec!["b:loop_entry", "a:loop_exit", "b:loop_exit"]
         );
     }
 

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use crate::bytecode::{CmpKind, CompiledProgram, FuncId, Instr, LoopId, Opcode};
 use crate::error::RuntimeError;
-use crate::event::{Event, EventCx, EventSink, ThreadId};
+use crate::event::{Event, EventCx, EventKind, EventSink, ThreadId};
 use crate::heap::{ArrRef, Heap, ObjRef, Value};
 use crate::hir::CatchKind;
 
@@ -239,16 +239,21 @@ impl<'p> Interp<'p> {
         &self.heap
     }
 
-    /// Delivers one event to `sink` with the current heap as context.
-    #[inline]
+    /// Delivers one event to `sink` with the current heap as context,
+    /// unless the sink's interest mask excludes the event's kind. The
+    /// mask is a constant of each monomorphised copy, so an excluded
+    /// event costs nothing once this is inlined.
+    #[inline(always)]
     fn emit<S: EventSink>(&self, sink: &mut S, ev: Event) {
-        sink.event(
-            &ev,
-            &EventCx {
-                program: self.program,
-                heap: &self.heap,
-            },
-        );
+        if S::INTERESTS.contains(ev.kind()) {
+            sink.event(
+                &ev,
+                &EventCx {
+                    program: self.program,
+                    heap: &self.heap,
+                },
+            );
+        }
     }
 
     /// Executes `Main.main` — and every thread it transitively spawns —
@@ -573,7 +578,9 @@ impl<'p> Interp<'p> {
                         op: Opcode::Jump,
                     },
                 );
-            } else if !matches!(instr, Instr::FusedNewDup(_)) {
+            } else if S::INTERESTS.contains(EventKind::Instruction)
+                && !matches!(instr, Instr::FusedNewDup(_))
+            {
                 // `FusedNewDup` emits its own events in its arm: the
                 // allocation event falls between its two instruction
                 // events, as in unfused execution.

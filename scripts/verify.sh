@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: everything CI runs, runnable locally.
+# Tier-1 verification: the whole CI gate (the workflow only installs the
+# toolchain and runs this script), runnable locally.
 # The workspace has no external dependencies, so all steps work offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -22,3 +22,24 @@ pub use algoprof_vm;
 
 pub mod genprog;
 pub mod testutil;
+
+/// The threaded example programs (the `examples/*.jay` guests that call
+/// `spawn`), each with a small guest input: `(name, source, input)`.
+/// The differential suites run them next to the single-threaded corpus.
+pub const THREADED_EXAMPLES: [(&str, &str, i64); 3] = [
+    (
+        "producer_consumer",
+        include_str!("../examples/producer_consumer.jay"),
+        24,
+    ),
+    (
+        "locked_counter",
+        include_str!("../examples/locked_counter.jay"),
+        12,
+    ),
+    (
+        "parallel_sum",
+        include_str!("../examples/parallel_sum.jay"),
+        16,
+    ),
+];

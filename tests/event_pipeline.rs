@@ -3,11 +3,12 @@
 //! [`Fanout`] of N differently-configured `AlgoProf`s over *one* live
 //! execution must produce exactly the profiles of N separate live runs
 //! (this is what lets `sweep` profile every ablation in a single pass),
-//! and teeing a recorder in must not perturb any of them.
+//! and teeing a recorder in must not perturb any of them. Profiles are
+//! compared per guest thread, so the threaded examples are covered too.
 
 use algoprof::{
-    profile_source_with, record_source_with, AlgoProf, AlgoProfOptions, AlgorithmicProfile,
-    EquivalenceCriterion,
+    profile_source_set_with, record_source_with, AlgoProf, AlgoProfOptions, EquivalenceCriterion,
+    ProfileSet,
 };
 use algoprof_programs::{
     array_list_program, functional_sort_program, insertion_sort_program, GrowthPolicy,
@@ -15,8 +16,9 @@ use algoprof_programs::{
 };
 use algoprof_suite::genprog::random_program;
 use algoprof_suite::testutil::TestRng;
+use algoprof_suite::THREADED_EXAMPLES;
 use algoprof_trace::{TraceHeader, TraceRecorder};
-use algoprof_vm::{compile, Fanout, InstrumentOptions, Interp, Tee};
+use algoprof_vm::{compile, Fanout, InstrumentOptions, Interp, OpStats, Tee};
 
 const CRITERIA: [EquivalenceCriterion; 4] = [
     EquivalenceCriterion::SomeElements,
@@ -35,64 +37,9 @@ fn ablation_options() -> Vec<AlgoProfOptions> {
         .collect()
 }
 
-/// Runs `src` once with all four criteria fanned out (recorder teed in,
-/// as `sweep` composes it), returning the trace and the four profiles.
-fn fanout_run(name: &str, src: &str) -> (Vec<u8>, Vec<AlgorithmicProfile>) {
-    let instrument = InstrumentOptions::default();
-    let program = compile(src)
-        .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
-        .instrument(&instrument);
-    let mut bytes = Vec::new();
-    let mut sink = Tee::new(
-        TraceRecorder::new(&TraceHeader::new(src, &instrument, &[]), &mut bytes),
-        Fanout::new(
-            ablation_options()
-                .into_iter()
-                .map(AlgoProf::with_options)
-                .collect(),
-        ),
-    );
-    Interp::new(&program)
-        .run(&mut sink)
-        .unwrap_or_else(|e| panic!("{name}: execution failed: {e}"));
-    let Tee {
-        a: recorder,
-        b: fanout,
-    } = sink;
-    recorder.finish().expect("writes to a Vec<u8> cannot fail");
-    let profiles = fanout
-        .into_sinks()
-        .into_iter()
-        .map(|p| p.finish(&program))
-        .collect();
-    (bytes, profiles)
-}
-
-/// One fanned-out execution must equal four separate live runs, and the
-/// teed recording must equal a pure recording run.
-fn assert_fanout_equals_separate_runs(name: &str, src: &str) {
-    let instrument = InstrumentOptions::default();
-    let (trace, fanned) = fanout_run(name, src);
-    assert_eq!(
-        trace,
-        record_source_with(src, &instrument, &[])
-            .unwrap_or_else(|e| panic!("{name}: recording failed: {e}")),
-        "{name}: teed recording diverges from a pure recording"
-    );
-    for (options, fanned_profile) in ablation_options().into_iter().zip(&fanned) {
-        let solo = profile_source_with(src, &instrument, options, &[])
-            .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"));
-        assert_eq!(
-            *fanned_profile, solo,
-            "{name}: fanned-out profile diverges under {:?}",
-            options.criterion
-        );
-    }
-}
-
-#[test]
-fn listings_corpus_fanout_equals_separate_runs() {
-    let corpus: Vec<(&str, String)> = vec![
+/// The single-threaded listings corpus.
+fn listings_corpus() -> Vec<(&'static str, String)> {
+    vec![
         ("listing3", LISTING3.to_string()),
         ("listing4", LISTING4.to_string()),
         ("listing5", LISTING5.to_string()),
@@ -116,9 +63,83 @@ fn listings_corpus_fanout_equals_separate_runs() {
             "array_list_doubling",
             array_list_program(GrowthPolicy::Doubling, 60, 10, 2),
         ),
-    ];
-    for (name, src) in &corpus {
-        assert_fanout_equals_separate_runs(name, src);
+    ]
+}
+
+/// Runs `src` once with all four criteria fanned out (recorder teed in,
+/// as `sweep` composes it), returning the trace and the four profile
+/// sets.
+fn fanout_run(name: &str, src: &str, input: &[i64]) -> (Vec<u8>, Vec<ProfileSet>) {
+    let instrument = InstrumentOptions::default();
+    let program = compile(src)
+        .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
+        .instrument(&instrument);
+    let mut bytes = Vec::new();
+    let mut sink = Tee::new(
+        TraceRecorder::new(&TraceHeader::new(src, &instrument, input), &mut bytes),
+        Fanout::new(
+            ablation_options()
+                .into_iter()
+                .map(AlgoProf::with_options)
+                .collect(),
+        ),
+    );
+    Interp::new(&program)
+        .with_input(input.to_vec())
+        .run(&mut sink)
+        .unwrap_or_else(|e| panic!("{name}: execution failed: {e}"));
+    let Tee {
+        a: recorder,
+        b: fanout,
+    } = sink;
+    recorder.finish().expect("writes to a Vec<u8> cannot fail");
+    let profiles = fanout
+        .into_sinks()
+        .into_iter()
+        .map(|p| p.finish_set(&program))
+        .collect();
+    (bytes, profiles)
+}
+
+/// One fanned-out execution must equal four separate live runs, and the
+/// teed recording must equal a pure recording run. Returns the fanned-out
+/// profile sets.
+fn assert_fanout_equals_separate_runs(name: &str, src: &str, input: &[i64]) -> Vec<ProfileSet> {
+    let instrument = InstrumentOptions::default();
+    let (trace, fanned) = fanout_run(name, src, input);
+    assert_eq!(
+        trace,
+        record_source_with(src, &instrument, input)
+            .unwrap_or_else(|e| panic!("{name}: recording failed: {e}")),
+        "{name}: teed recording diverges from a pure recording"
+    );
+    for (options, fanned_profile) in ablation_options().into_iter().zip(&fanned) {
+        let solo = profile_source_set_with(src, &instrument, options, input)
+            .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"));
+        assert_eq!(
+            *fanned_profile, solo,
+            "{name}: fanned-out profile diverges under {:?}",
+            options.criterion
+        );
+    }
+    fanned
+}
+
+#[test]
+fn listings_corpus_fanout_equals_separate_runs() {
+    for (name, src) in &listings_corpus() {
+        assert_fanout_equals_separate_runs(name, src, &[]);
+    }
+}
+
+#[test]
+fn threaded_examples_fanout_equals_separate_runs() {
+    for (name, src, n) in THREADED_EXAMPLES {
+        let fanned = assert_fanout_equals_separate_runs(name, src, &[n]);
+        assert!(
+            fanned.iter().all(ProfileSet::is_threaded),
+            "{name}: expected a threaded run"
+        );
     }
 }
 
@@ -127,6 +148,46 @@ fn random_programs_fanout_equals_separate_runs() {
     for seed in 0..100 {
         let mut rng = TestRng::new(9000 + seed);
         let src = random_program(&mut rng);
-        assert_fanout_equals_separate_runs(&format!("seed {seed}"), &src);
+        assert_fanout_equals_separate_runs(&format!("seed {seed}"), &src, &[]);
+    }
+}
+
+/// A sink that masks out instruction ticks (AlgoProf) next to one that
+/// reads nothing else (OpStats): each must see exactly the stream it
+/// would see alone.
+#[test]
+fn masked_and_instruction_sinks_share_one_run() {
+    let instrument = InstrumentOptions::default();
+    let options = AlgoProfOptions::default();
+    for (name, src) in &listings_corpus() {
+        let program = compile(src)
+            .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
+            .instrument(&instrument)
+            .fuse_default();
+        let mut tee = Tee::new(AlgoProf::with_options(options), OpStats::new());
+        Interp::new(&program)
+            .run(&mut tee)
+            .unwrap_or_else(|e| panic!("{name}: execution failed: {e}"));
+        let mut alone = OpStats::new();
+        let run = Interp::new(&program)
+            .run(&mut alone)
+            .unwrap_or_else(|e| panic!("{name}: execution failed: {e}"));
+        assert_eq!(
+            alone.total(),
+            run.instructions,
+            "{name}: opstats missed instruction events"
+        );
+        assert_eq!(
+            tee.b.render_json(usize::MAX),
+            alone.render_json(usize::MAX),
+            "{name}: teed opstats diverge from opstats alone"
+        );
+        let solo = profile_source_set_with(src, &instrument, options, &[])
+            .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"));
+        assert_eq!(
+            tee.a.finish_set(&program),
+            solo,
+            "{name}: teed profile diverges from AlgoProf alone"
+        );
     }
 }

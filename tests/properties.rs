@@ -4,8 +4,11 @@
 //! the suite needs no external property-testing crate and every failure
 //! reproduces exactly.
 
+use std::collections::BTreeMap;
+
+use algoprof::{AccessOp, CostKey, CostMap, InputId};
 use algoprof_suite::testutil::TestRng;
-use algoprof_vm::{compile, InstrumentOptions, Interp, NoopProfiler};
+use algoprof_vm::{compile, ClassId, InstrumentOptions, Interp, NoopProfiler};
 
 // ---------------------------------------------------------------------
 // Guest arithmetic agrees with host arithmetic.
@@ -254,5 +257,142 @@ fn power_law_exponent_within_tolerance() {
         let p = algoprof_fit::fit_power_law(&pts).expect("fits");
         assert!((p.exponent - exp).abs() < 1e-6);
         assert!((p.coeff - coeff).abs() / coeff < 1e-6);
+    }
+}
+
+// ---------------------------------------------------------------------
+// CostMap behaves like the ordered map it replaces.
+// ---------------------------------------------------------------------
+
+/// A random key from a small key space, so keys repeat.
+fn gen_cost_key(rng: &mut TestRng) -> CostKey {
+    let input = InputId(rng.below(3) as u32);
+    let class = ClassId(rng.below(3) as u32);
+    let op = if rng.chance(1, 2) {
+        AccessOp::Read
+    } else {
+        AccessOp::Write
+    };
+    match rng.below(8) {
+        0 => CostKey::Step,
+        1 => CostKey::ArrayAccess { input, op },
+        2 => CostKey::StructAccess { input, op },
+        3 => CostKey::StructAccessByType { input, class, op },
+        4 => CostKey::Creation { class },
+        5 => CostKey::InputRead,
+        6 => CostKey::OutputWrite,
+        _ => CostKey::LockContention,
+    }
+}
+
+/// A random cost map built by `bump`/`add`, with its reference map.
+fn gen_cost_map(rng: &mut TestRng) -> (CostMap, BTreeMap<CostKey, u64>) {
+    let mut map = CostMap::new();
+    let mut reference = BTreeMap::new();
+    for _ in 0..rng.range(0, 12) {
+        let key = gen_cost_key(rng);
+        let n = if rng.chance(1, 2) {
+            map.bump(key);
+            1
+        } else {
+            let n = rng.below(4);
+            map.add(key, n);
+            n
+        };
+        if n > 0 {
+            *reference.entry(key).or_insert(0) += n;
+        }
+    }
+    (map, reference)
+}
+
+fn assert_cost_map_matches(map: &CostMap, reference: &BTreeMap<CostKey, u64>, case: &str) {
+    let entries: Vec<(CostKey, u64)> = map.iter().collect();
+    let expected: Vec<(CostKey, u64)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+    assert_eq!(entries, expected, "{case}: iteration order or counts");
+    assert_eq!(map.is_empty(), reference.is_empty(), "{case}");
+    let mut rng = TestRng::new(1);
+    for _ in 0..64 {
+        let key = gen_cost_key(&mut rng);
+        assert_eq!(
+            map.get(key),
+            reference.get(&key).copied().unwrap_or(0),
+            "{case}: get({key:?})"
+        );
+    }
+    let sum = |pred: &dyn Fn(&CostKey) -> bool| -> u64 {
+        reference
+            .iter()
+            .filter(|(k, _)| pred(k))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    let is_access = |k: &CostKey, want: AccessOp| matches!(k, CostKey::StructAccess { op, .. } | CostKey::ArrayAccess { op, .. } if *op == want);
+    assert_eq!(
+        map.total_reads(),
+        sum(&|k| is_access(k, AccessOp::Read)),
+        "{case}"
+    );
+    assert_eq!(
+        map.total_writes(),
+        sum(&|k| is_access(k, AccessOp::Write)),
+        "{case}"
+    );
+    assert_eq!(
+        map.creations(),
+        sum(&|k| matches!(k, CostKey::Creation { .. })),
+        "{case}"
+    );
+    assert_eq!(map.steps(), sum(&|k| *k == CostKey::Step), "{case}");
+    assert_eq!(
+        map.contention(),
+        sum(&|k| *k == CostKey::LockContention),
+        "{case}"
+    );
+    let classes: Vec<ClassId> = reference
+        .keys()
+        .filter_map(|k| match k {
+            CostKey::Creation { class } => Some(*class),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(map.created_classes(), classes, "{case}");
+    for i in 0..3 {
+        let input = InputId(i);
+        let of = |want: AccessOp| {
+            sum(&|k| {
+                is_access(k, want)
+                    && matches!(k, CostKey::StructAccess { input: x, .. } | CostKey::ArrayAccess { input: x, .. } if *x == input)
+            })
+        };
+        assert_eq!(map.reads_of(input), of(AccessOp::Read), "{case}");
+        assert_eq!(map.writes_of(input), of(AccessOp::Write), "{case}");
+        let class = ClassId(i);
+        assert_eq!(
+            map.creations_of(class),
+            sum(&|k| *k == CostKey::Creation { class }),
+            "{case}"
+        );
+    }
+}
+
+#[test]
+fn cost_map_matches_an_ordered_map_reference() {
+    for seed in 0..300 {
+        let mut rng = TestRng::new(7000 + seed);
+        let (mut map, mut reference) = gen_cost_map(&mut rng);
+        assert_cost_map_matches(&map, &reference, &format!("seed {seed} built"));
+        for step in 0..rng.range(1, 4) {
+            let (other, other_ref) = gen_cost_map(&mut rng);
+            map.merge(&other);
+            for (k, v) in other_ref {
+                *reference.entry(k).or_insert(0) += v;
+            }
+            assert_cost_map_matches(&map, &reference, &format!("seed {seed} merge {step}"));
+            let key = gen_cost_key(&mut rng);
+            map.bump(key);
+            *reference.entry(key).or_insert(0) += 1;
+            assert_cost_map_matches(&map, &reference, &format!("seed {seed} bump {step}"));
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! central claim: execute once, analyze many.
 
 use algoprof::{
-    profile_source_with, profile_trace_with, record_source_with, AlgoProfOptions,
-    EquivalenceCriterion,
+    profile_source_set_with, profile_trace_set_with, profile_trace_with, record_source_with,
+    AlgoProfOptions, EquivalenceCriterion, ProfileSet,
 };
 use algoprof_programs::{
     array_list_program, functional_sort_program, insertion_sort_program, GrowthPolicy,
@@ -14,6 +14,7 @@ use algoprof_programs::{
 };
 use algoprof_suite::genprog::random_program;
 use algoprof_suite::testutil::TestRng;
+use algoprof_suite::THREADED_EXAMPLES;
 use algoprof_trace::{read_header, ReplayStats, TraceReplayer};
 use algoprof_vm::{compile, InstrumentOptions, NoopProfiler};
 
@@ -24,25 +25,29 @@ const CRITERIA: [EquivalenceCriterion; 4] = [
     EquivalenceCriterion::SameType,
 ];
 
-/// Records `src` once and checks replay == live for all four criteria.
-fn assert_roundtrip(name: &str, src: &str) {
+/// Records `src` once and checks replay == live, thread by thread, for
+/// all four criteria. Returns the live profile sets.
+fn assert_roundtrip(name: &str, src: &str, input: &[i64]) -> Vec<ProfileSet> {
     let instrument = InstrumentOptions::default();
-    let trace = record_source_with(src, &instrument, &[])
+    let trace = record_source_with(src, &instrument, input)
         .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
+    let mut sets = Vec::new();
     for criterion in CRITERIA {
         let options = AlgoProfOptions {
             criterion,
             ..AlgoProfOptions::default()
         };
-        let live = profile_source_with(src, &instrument, options, &[])
+        let live = profile_source_set_with(src, &instrument, options, input)
             .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"));
-        let replayed = profile_trace_with(&trace, options)
+        let replayed = profile_trace_set_with(&trace, options)
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
         assert_eq!(
             live, replayed,
             "{name}: replayed profile diverges under {criterion:?}"
         );
+        sets.push(live);
     }
+    sets
 }
 
 #[test]
@@ -73,7 +78,18 @@ fn listings_corpus_roundtrips_under_all_criteria() {
         ),
     ];
     for (name, src) in &corpus {
-        assert_roundtrip(name, src);
+        assert_roundtrip(name, src, &[]);
+    }
+}
+
+#[test]
+fn threaded_examples_roundtrip_under_all_criteria() {
+    for (name, src, n) in THREADED_EXAMPLES {
+        let live = assert_roundtrip(name, src, &[n]);
+        assert!(
+            live.iter().all(ProfileSet::is_threaded),
+            "{name}: expected a threaded run"
+        );
     }
 }
 
@@ -82,7 +98,7 @@ fn random_programs_roundtrip_under_all_criteria() {
     for seed in 0..100 {
         let mut rng = TestRng::new(9000 + seed);
         let src = random_program(&mut rng);
-        assert_roundtrip(&format!("seed {seed}"), &src);
+        assert_roundtrip(&format!("seed {seed}"), &src, &[]);
     }
 }
 
