@@ -1,10 +1,12 @@
-//! Text and JSON rendering of an [`Analysis`](crate::Analysis).
+//! Text and JSON rendering of an [`Analysis`].
 //!
 //! Both renderers are deterministic (diagnostics and predictions are
-//! already in canonical order) and the JSON is hand-rolled like the
-//! sweep reports — the workspace is dependency-free by design.
+//! already in canonical order); the JSON goes through
+//! `algoprof_vm::json`, like every other report.
 
 use std::fmt::Write as _;
+
+use algoprof_vm::json::{self, Json};
 
 use crate::compose::PredictionKind;
 use crate::diag::Level;
@@ -49,82 +51,34 @@ pub fn render_text(analysis: &Analysis, file: &str) -> String {
 
 /// Renders the machine-readable report.
 pub fn render_json(analysis: &Analysis, file: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"file\": {},", json_str(file));
-    let _ = writeln!(out, "  \"errors\": {},", analysis.has_errors);
-    out.push_str("  \"diagnostics\": [\n");
-    for (i, d) in analysis.diagnostics.iter().enumerate() {
-        let comma = if i + 1 < analysis.diagnostics.len() {
-            ","
-        } else {
-            ""
+    let diagnostics = analysis.diagnostics.iter().map(|d| {
+        Json::obj(vec![
+            ("level", d.level.as_str().into()),
+            ("code", d.code.as_str().into()),
+            ("function", d.span.function.as_str().into()),
+            ("line", d.span.line.into()),
+            ("message", d.message.as_str().into()),
+        ])
+    });
+    let predictions = analysis.predictions.iter().map(|p| {
+        let kind = match p.kind {
+            PredictionKind::Loop => "loop",
+            PredictionKind::Recursion => "recursion",
         };
-        let _ = writeln!(
-            out,
-            "    {{\"level\": {}, \"code\": {}, \"function\": {}, \"line\": {}, \"message\": {}}}{comma}",
-            json_str(d.level.as_str()),
-            json_str(d.code.as_str()),
-            json_str(&d.span.function),
-            d.span.line,
-            json_str(&d.message),
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"predictions\": [\n");
-    for (i, p) in analysis.predictions.iter().enumerate() {
-        let comma = if i + 1 < analysis.predictions.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": {}, \"kind\": {}, \"class\": {}, \"function\": {}, \"line\": {}, \"detail\": {}}}{comma}",
-            json_str(&p.name),
-            json_str(match p.kind {
-                PredictionKind::Loop => "loop",
-                PredictionKind::Recursion => "recursion",
-            }),
-            json_str(p.class.big_o()),
-            json_str(&p.function),
-            p.line,
-            json_str(&p.detail),
-        );
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
-    }
+        Json::obj(vec![
+            ("name", p.name.as_str().into()),
+            ("kind", kind.into()),
+            ("class", p.class.big_o().into()),
+            ("function", p.function.as_str().into()),
+            ("line", p.line.into()),
+            ("detail", p.detail.as_str().into()),
+        ])
+    });
+    let members = vec![
+        ("file", file.into()),
+        ("errors", analysis.has_errors.into()),
+        ("diagnostics", Json::Arr(diagnostics.collect())),
+        ("predictions", Json::Arr(predictions.collect())),
+    ];
+    json::report(members, &["diagnostics", "predictions"])
 }

@@ -13,7 +13,7 @@
 //! everything before it.
 //!
 //! [`finish`] closes the stream and returns the full
-//! [`AlgorithmicProfile`] — identical to what the batch path produces
+//! [`AlgorithmicProfile`](crate::profile::AlgorithmicProfile) — identical to what the batch path produces
 //! for the same bytes — plus the per-node online fits.
 //!
 //! [`feed`]: StreamingAnalysis::feed

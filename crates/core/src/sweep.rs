@@ -7,8 +7,8 @@
 //! analysis-option ablations — and runs it on a pool of worker threads
 //! in a **single parallel pass**: each job compiles and executes its
 //! guest exactly once, with the interpreter driving a
-//! [`Tee`](algoprof_vm::Tee) of the trace recorder (for reproducibility
-//! stats) and a [`Fanout`](algoprof_vm::Fanout) of one [`AlgoProf`] per
+//! [`Tee`] of the trace recorder (for reproducibility
+//! stats) and a [`Fanout`] of one [`AlgoProf`] per
 //! ablation. All ablations observe the identical live event stream, so
 //! their profiles equal what a record-then-replay pipeline would have
 //! produced — without re-decoding the recording N times.
@@ -28,6 +28,7 @@ use algoprof_fit::{
     PowerFit,
 };
 use algoprof_trace::{TraceHeader, TraceRecorder};
+use algoprof_vm::json::{self, Json};
 use algoprof_vm::{compile, Fanout, InstrumentOptions, Interp, Tee};
 
 use crate::pool::{default_workers, run_indexed};
@@ -131,20 +132,13 @@ impl Default for SweepConfig {
 pub struct SweepError {
     /// Label of the failing job.
     pub job: String,
-    /// Ablation name, when the failure is specific to one analysis
-    /// configuration. In the single-pass pipeline all ablations observe
-    /// one execution, so compile/runtime failures carry `None`.
-    pub ablation: Option<String>,
     /// The underlying failure.
     pub error: ProfileError,
 }
 
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.ablation {
-            Some(a) => write!(f, "job {} [{a}]: {}", self.job, self.error),
-            None => write!(f, "job {}: {}", self.job, self.error),
-        }
+        write!(f, "job {}: {}", self.job, self.error)
     }
 }
 
@@ -318,7 +312,6 @@ pub fn run_sweep(jobs: &[SweepJob], config: &SweepConfig) -> Result<SweepReport,
             Err(error) => {
                 return Err(SweepError {
                     job: job.label.clone(),
-                    ablation: None,
                     error,
                 })
             }
@@ -662,171 +655,80 @@ impl SweepReport {
     /// schema). No timing data is included, so the bytes are identical
     /// for every worker count.
     pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"program\": {},", json_str(&self.program));
-        let _ = writeln!(out, "  \"sizes\": {},", json_u64s(&self.sizes));
-        let _ = writeln!(
-            out,
-            "  \"ablations\": [{}],",
-            self.ablations
-                .iter()
-                .map(|a| json_str(a))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        out.push_str("  \"jobs\": [\n");
-        for (i, job) in self.jobs.iter().enumerate() {
-            let runs = job
-                .runs
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{{\"ablation\": {}, \"algorithms\": {}, \"total_steps\": {}, \"threads\": {}}}",
-                        json_str(&r.ablation),
-                        r.algorithms,
-                        r.total_steps,
-                        r.threads
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                out,
-                "    {{\"label\": {}, \"size\": {}, \"trace_bytes\": {}, \"events\": {}, \"runs\": [{}]}}",
-                json_str(&job.label),
-                job.size,
-                job.trace_bytes,
-                job.events,
-                runs
-            );
-            out.push_str(if i + 1 < self.jobs.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"series\": [\n");
-        for (i, s) in self.series.iter().enumerate() {
-            let points = s
-                .points
-                .iter()
-                .map(|&(n, c)| format!("[{}, {}]", json_f64(n), json_f64(c)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let fit = match &s.fit {
-                Some(f) => format!(
-                    "{{\"model\": {}, \"coeff\": {}, \"intercept\": {}, \"r2\": {}, \"rmse\": {}, \"n_points\": {}}}",
-                    json_str(f.model.big_o()),
-                    json_f64(f.coeff),
-                    json_f64(f.intercept),
-                    json_f64(f.r2),
-                    json_f64(f.rmse),
-                    f.n_points
-                ),
-                None => "null".to_string(),
-            };
-            let power = match &s.power_law {
-                Some(p) => format!(
-                    "{{\"coeff\": {}, \"exponent\": {}, \"r2\": {}, \"n_points\": {}}}",
-                    json_f64(p.coeff),
-                    json_f64(p.exponent),
-                    json_f64(p.r2),
-                    p.n_points
-                ),
-                None => "null".to_string(),
-            };
-            let predicted = match s.predicted {
-                Some(p) => json_str(p.big_o()),
-                None => "null".to_string(),
-            };
-            let agrees = match s.agrees {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            };
-            let predicted_cost = match &s.predicted_cost {
-                Some(c) => json_str(&c.to_string()),
-                None => "null".to_string(),
-            };
-            let opt_f64 = |v: Option<f64>| match v {
-                Some(x) => json_f64(x),
-                None => "null".to_string(),
-            };
-            let coeff = format!(
-                "{{\"verdict\": {}, \"predicted\": {}, \"fitted\": {}, \"rel_err\": {}, \"reason\": {}}}",
-                json_str(s.coeff.verdict.label()),
-                opt_f64(s.coeff.predicted),
-                opt_f64(s.coeff.fitted),
-                opt_f64(s.coeff.rel_err),
-                json_str(s.coeff.reason)
-            );
-            let thread = match s.thread {
-                Some(t) => t.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"ablation\": {}, \"program\": {}, \"algorithm\": {}, \"thread\": {}, \"kind\": {}, \"points\": [{}], \"best_fit\": {}, \"power_law\": {}, \"predicted\": {}, \"predicted_cost\": {}, \"agrees\": {}, \"coeff\": {}}}",
-                json_str(&s.ablation),
-                json_str(&s.program),
-                json_str(&s.algorithm),
-                thread,
-                json_str(&s.kind),
-                points,
-                fit,
-                power,
-                predicted,
-                predicted_cost,
-                agrees,
-                coeff
-            );
-            out.push_str(if i + 1 < self.series.len() {
-                ",\n"
-            } else {
-                "\n"
+        let jobs = self.jobs.iter().map(|job| {
+            let runs = job.runs.iter().map(|r| {
+                Json::obj(vec![
+                    ("ablation", r.ablation.as_str().into()),
+                    ("algorithms", r.algorithms.into()),
+                    ("total_steps", r.total_steps.into()),
+                    ("threads", r.threads.into()),
+                ])
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            Json::obj(vec![
+                ("label", job.label.as_str().into()),
+                ("size", job.size.into()),
+                ("trace_bytes", job.trace_bytes.into()),
+                ("events", job.events.into()),
+                ("runs", Json::Arr(runs.collect())),
+            ])
+        });
+        let series = self.series.iter().map(|s| {
+            let points = s.points.iter().map(|&(n, c)| Json::from(vec![n, c]));
+            let predicted_cost = s.predicted_cost.as_ref().map(|c| c.to_string());
+            let fit = s.fit.as_ref().map(|f| {
+                Json::obj(vec![
+                    ("model", f.model.big_o().into()),
+                    ("coeff", f.coeff.into()),
+                    ("intercept", f.intercept.into()),
+                    ("r2", f.r2.into()),
+                    ("rmse", f.rmse.into()),
+                    ("n_points", f.n_points.into()),
+                ])
+            });
+            let power = s.power_law.as_ref().map(|p| {
+                Json::obj(vec![
+                    ("coeff", p.coeff.into()),
+                    ("exponent", p.exponent.into()),
+                    ("r2", p.r2.into()),
+                    ("n_points", p.n_points.into()),
+                ])
+            });
+            let coeff = Json::obj(vec![
+                ("verdict", s.coeff.verdict.label().into()),
+                ("predicted", s.coeff.predicted.into()),
+                ("fitted", s.coeff.fitted.into()),
+                ("rel_err", s.coeff.rel_err.into()),
+                ("reason", s.coeff.reason.into()),
+            ]);
+            Json::obj(vec![
+                ("ablation", s.ablation.as_str().into()),
+                ("program", s.program.as_str().into()),
+                ("algorithm", s.algorithm.as_str().into()),
+                ("thread", s.thread.into()),
+                ("kind", s.kind.as_str().into()),
+                ("points", Json::Arr(points.collect())),
+                ("best_fit", fit.into()),
+                ("power_law", power.into()),
+                ("predicted", s.predicted.map(|p| p.big_o()).into()),
+                ("predicted_cost", predicted_cost.into()),
+                ("agrees", s.agrees.into()),
+                ("coeff", coeff),
+            ])
+        });
+        let members = vec![
+            ("program", self.program.as_str().into()),
+            ("sizes", self.sizes.clone().into()),
+            ("ablations", self.ablations.clone().into()),
+            ("jobs", Json::Arr(jobs.collect())),
+            ("series", Json::Arr(series.collect())),
+        ];
+        json::report(members, &["jobs", "series"])
     }
 
     /// Renders the report as a self-contained HTML page with SVG plots.
     pub fn render_html(&self) -> String {
         crate::html::render_sweep_html(self)
     }
-}
-
-/// JSON string literal with the escapes our identifiers can need.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A finite `f64` as a JSON number (Rust's shortest-roundtrip `Display`
-/// is deterministic and always valid JSON for finite values).
-fn json_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "non-finite value in sweep report");
-    format!("{v}")
-}
-
-fn json_u64s(vs: &[u64]) -> String {
-    format!(
-        "[{}]",
-        vs.iter().map(u64::to_string).collect::<Vec<_>>().join(", ")
-    )
 }
 
 #[cfg(test)]
@@ -967,12 +869,25 @@ mod tests {
     #[test]
     fn json_is_structurally_sane() {
         let report = run_sweep(&jobs()[..3], &SweepConfig::default()).expect("sweeps");
-        let json = report.render_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"best_fit\""));
+        let doc = json::parse(&report.render_json()).expect("valid JSON");
+        let sizes = doc.get("sizes").and_then(Json::as_arr).expect("sizes");
+        let sizes: Vec<_> = sizes.iter().filter_map(Json::as_u64).collect();
+        assert_eq!(sizes, report.sizes);
+        let jobs = doc.get("jobs").and_then(Json::as_arr).expect("jobs");
+        let events: Vec<_> = jobs
+            .iter()
+            .filter_map(|j| j.get("events")?.as_u64())
+            .collect();
+        assert_eq!(
+            events,
+            report.jobs.iter().map(|j| j.events).collect::<Vec<_>>()
+        );
+        let series = doc.get("series").and_then(Json::as_arr).expect("series");
+        assert_eq!(series.len(), report.series.len());
+        for (row, s) in series.iter().zip(&report.series) {
+            let coeff = row.get("best_fit").and_then(|f| f.get("coeff")?.as_f64());
+            assert_eq!(coeff, s.fit.map(|f| f.coeff), "{}", s.algorithm);
+        }
     }
 
     #[test]

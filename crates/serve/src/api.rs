@@ -12,7 +12,7 @@ use algoprof::{
     SnapshotPolicy, SweepAblation,
 };
 
-use crate::json::Json;
+use algoprof_vm::json::Json;
 
 /// Wire name of an equivalence criterion (matches `--criterion`).
 pub fn criterion_name(c: EquivalenceCriterion) -> &'static str {
@@ -87,13 +87,10 @@ fn parse_grouping(name: &str) -> Option<GroupingStrategy> {
 /// the wire too).
 pub fn options_to_json(o: &AlgoProfOptions) -> Json {
     Json::obj(vec![
-        ("criterion", Json::Str(criterion_name(o.criterion).into())),
-        ("sizing", Json::Str(sizing_name(o.array_strategy).into())),
-        (
-            "snapshots",
-            Json::Str(snapshots_name(o.snapshot_policy).into()),
-        ),
-        ("grouping", Json::Str(grouping_name(o.grouping).into())),
+        ("criterion", criterion_name(o.criterion).into()),
+        ("sizing", sizing_name(o.array_strategy).into()),
+        ("snapshots", snapshots_name(o.snapshot_policy).into()),
+        ("grouping", grouping_name(o.grouping).into()),
     ])
 }
 
@@ -166,10 +163,7 @@ pub fn job_to_json(spec: &JobSpec) -> Json {
             ("kind", Json::Str("profile".into())),
             ("program", Json::Str(program.clone())),
             ("source", Json::Str(source.clone())),
-            (
-                "input",
-                Json::Arr(input.iter().map(|&v| Json::Num(v as f64)).collect()),
-            ),
+            ("input", input.clone().into()),
             ("options", options_to_json(options)),
         ]),
         JobSpec::Sweep {
@@ -181,10 +175,7 @@ pub fn job_to_json(spec: &JobSpec) -> Json {
             ("kind", Json::Str("sweep".into())),
             ("program", Json::Str(program.clone())),
             ("source", Json::Str(source.clone())),
-            (
-                "sizes",
-                Json::Arr(sizes.iter().map(|&n| Json::Num(n as f64)).collect()),
-            ),
+            ("sizes", sizes.clone().into()),
             (
                 "ablations",
                 Json::Arr(
@@ -295,10 +286,10 @@ pub fn job_from_json(value: &Json) -> Result<JobSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use algoprof_vm::json::parse;
 
     fn round_trip(spec: &JobSpec) -> JobSpec {
-        let wire = job_to_json(spec).to_string_compact();
+        let wire = job_to_json(spec).to_compact();
         job_from_json(&parse(&wire).expect("parses")).expect("decodes")
     }
 

@@ -60,6 +60,7 @@ use algoprof::{
     SweepAblation, SweepConfig, SweepJob,
 };
 use algoprof_serve::{client, Server, ServerAddr, ServerConfig};
+use algoprof_vm::json::{self, Json};
 use algoprof_vm::InstrumentOptions;
 
 const USAGE: &str = "usage: algoprof [--criterion some|all|array|type] [--sizing capacity|unique] \
@@ -613,50 +614,42 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
     let by_name: std::collections::HashMap<&str, &algoprof_analysis::FeatureCost> =
         features.iter().map(|f| (f.name.as_str(), f)).collect();
     if json {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"program\": {},\n  \"repetitions\": [\n",
-            json_string(path)
-        ));
-        for (i, p) in analysis.predictions.iter().enumerate() {
+        let repetitions = analysis.predictions.iter().map(|p| {
             let kind = match p.kind {
                 algoprof_analysis::PredictionKind::Loop => "loop",
                 algoprof_analysis::PredictionKind::Recursion => "recursion",
             };
-            let leading = match p.cost.leading() {
-                Some(l) => format!(
-                    "{{\"degree\": {}, \"log\": {}, \"coeff\": {}}}",
-                    l.degree, l.log, l.coeff
-                ),
-                None => "null".to_owned(),
-            };
-            let feats = by_name
+            let leading = p.cost.leading().map(|l| {
+                Json::obj(vec![
+                    ("degree", l.degree.into()),
+                    ("log", l.log.into()),
+                    ("coeff", l.coeff.into()),
+                ])
+            });
+            let features = by_name
                 .get(p.name.as_str())
                 .map(|fc| {
                     fc.features
                         .iter()
-                        .map(|(ft, c)| {
-                            format!(
-                                "{}: {}",
-                                json_string(ft.name()),
-                                json_string(&c.to_string())
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                        .map(|(ft, c)| (ft.name().to_owned(), c.to_string().into()))
+                        .collect()
                 })
                 .unwrap_or_default();
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"kind\": \"{kind}\", \"class\": {}, \"cost\": {}, \"leading\": {leading}, \"detail\": {}, \"features\": {{{feats}}}}}{}\n",
-                json_string(&p.name),
-                json_string(p.class.big_o()),
-                json_string(&p.cost.to_string()),
-                json_string(&p.detail),
-                if i + 1 < analysis.predictions.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        print!("{out}");
+            Json::obj(vec![
+                ("name", p.name.as_str().into()),
+                ("kind", kind.into()),
+                ("class", p.class.big_o().into()),
+                ("cost", p.cost.to_string().into()),
+                ("leading", leading.into()),
+                ("detail", p.detail.as_str().into()),
+                ("features", Json::Obj(features)),
+            ])
+        });
+        let members = vec![
+            ("program", path.as_str().into()),
+            ("repetitions", Json::Arr(repetitions.collect())),
+        ];
+        print!("{}", json::report(members, &["repetitions"]));
     } else {
         println!("cost functions ({path}):");
         for p in &analysis.predictions {
@@ -670,25 +663,6 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// Minimal JSON string encoder for the costfn report.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `algoprof opstats <prog.jay>... [--input ...] [--json] [--top N]`:

@@ -17,7 +17,7 @@ use algoprof::{JobOutput, JobSpec};
 use crate::api::job_to_json;
 use crate::cache::CacheStats;
 use crate::http;
-use crate::json::{self, Json};
+use algoprof_vm::json::{self, Json};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -173,7 +173,7 @@ fn required_str(value: &Json, key: &str) -> Result<String, ClientError> {
 
 /// Submits a job, returning its id and whether the cache answered.
 pub fn submit(addr: &ServerAddr, spec: &JobSpec) -> Result<SubmitResponse, ClientError> {
-    submit_raw(addr, job_to_json(spec).to_string_compact().as_bytes())
+    submit_raw(addr, job_to_json(spec).to_compact().as_bytes())
 }
 
 /// Submits a pre-encoded body (tests use this to exercise daemon-side

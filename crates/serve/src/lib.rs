@@ -13,7 +13,7 @@
 //! here rather than in the core crate so it can link the service layer
 //! without a dependency cycle.
 //!
-//! Everything is `std`-only: HTTP framing ([`http`]), JSON ([`json`]),
+//! Everything is `std`-only: HTTP framing ([`http`]), JSON ([`algoprof_vm::json`]),
 //! and the cache's SHA-256 (in `algoprof::hash`) are from scratch, like
 //! the rest of this offline reproduction.
 //!
@@ -25,7 +25,6 @@ pub mod api;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod server;
 
 pub use cache::{CacheStats, ResultCache};

@@ -37,7 +37,7 @@ use algoprof::{default_workers, JobOutput, StreamingAnalysis, WorkerPool};
 use crate::api::{job_from_json, options_from_json};
 use crate::cache::ResultCache;
 use crate::http;
-use crate::json::{self, Json};
+use algoprof_vm::json::{self, Json};
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -234,7 +234,7 @@ fn handle_connection<T: Read + Write>(stream: T, state: &Arc<ServerState>) {
         reader.get_mut(),
         status,
         "application/json",
-        body.to_string_compact().as_bytes(),
+        body.to_compact().as_bytes(),
     );
     if state.stop.load(Ordering::SeqCst) {
         // Shutdown was requested on this connection: wake the accept
@@ -244,7 +244,7 @@ fn handle_connection<T: Read + Write>(stream: T, state: &Arc<ServerState>) {
 }
 
 fn error_json(message: &str) -> Json {
-    Json::obj(vec![("error", Json::Str(message.into()))])
+    Json::obj(vec![("error", message.into())])
 }
 
 fn route<R: BufRead>(reader: &mut R, state: &Arc<ServerState>) -> io::Result<(u16, Json)> {
@@ -276,17 +276,17 @@ fn route<R: BufRead>(reader: &mut R, state: &Arc<ServerState>) -> io::Result<(u1
             Ok((
                 200,
                 Json::obj(vec![
-                    ("entries", Json::Num(stats.entries as f64)),
-                    ("hits", Json::Num(stats.hits as f64)),
-                    ("misses", Json::Num(stats.misses as f64)),
-                    ("stores", Json::Num(stats.stores as f64)),
+                    ("entries", stats.entries.into()),
+                    ("hits", stats.hits.into()),
+                    ("misses", stats.misses.into()),
+                    ("stores", stats.stores.into()),
                 ]),
             ))
         }
-        ("GET", "/api/v1/health") => Ok((200, Json::obj(vec![("ok", Json::Bool(true))]))),
+        ("GET", "/api/v1/health") => Ok((200, Json::obj(vec![("ok", true.into())]))),
         ("POST", "/api/v1/shutdown") => {
             state.stop.store(true, Ordering::SeqCst);
-            Ok((200, Json::obj(vec![("ok", Json::Bool(true))])))
+            Ok((200, Json::obj(vec![("ok", true.into())])))
         }
         ("POST" | "GET", _) => Ok((404, error_json(&format!("no such endpoint {path:?}")))),
         (method, _) => Ok((405, error_json(&format!("unsupported method {method:?}")))),
@@ -324,9 +324,9 @@ fn submit(state: &Arc<ServerState>, body: &[u8]) -> (u16, Json) {
         return (
             200,
             Json::obj(vec![
-                ("id", Json::Str(id_text)),
-                ("status", Json::Str("done".into())),
-                ("cache", Json::Str("hit".into())),
+                ("id", id_text.into()),
+                ("status", "done".into()),
+                ("cache", "hit".into()),
             ]),
         );
     }
@@ -359,9 +359,9 @@ fn submit(state: &Arc<ServerState>, body: &[u8]) -> (u16, Json) {
     (
         202,
         Json::obj(vec![
-            ("id", Json::Str(id_text)),
-            ("status", Json::Str("queued".into())),
-            ("cache", Json::Str("miss".into())),
+            ("id", id_text.into()),
+            ("status", "queued".into()),
+            ("cache", "miss".into()),
         ]),
     )
 }
@@ -381,37 +381,30 @@ fn job_status(state: &Arc<ServerState>, id: &str) -> (u16, Json) {
         return (404, error_json(&format!("no such job {id:?}")));
     };
     let mut members = vec![
-        ("id", Json::Str(id.to_owned())),
-        ("kind", Json::Str(record.kind.into())),
-        ("cache_key", Json::Str(record.cache_key.clone())),
+        ("id", id.into()),
+        ("kind", record.kind.into()),
+        ("cache_key", record.cache_key.clone().into()),
         (
             "cache",
-            Json::Str(if record.cache_hit { "hit" } else { "miss" }.into()),
+            if record.cache_hit { "hit" } else { "miss" }.into(),
         ),
     ];
     match &record.state {
-        JobState::Queued => members.push(("status", Json::Str("queued".into()))),
-        JobState::Running => members.push(("status", Json::Str("running".into()))),
+        JobState::Queued => members.push(("status", "queued".into())),
+        JobState::Running => members.push(("status", "running".into())),
         JobState::Done(output) => {
-            members.push(("status", Json::Str("done".into())));
+            members.push(("status", "done".into()));
             members.push((
                 "output",
                 Json::obj(vec![
-                    ("text", Json::Str(output.text.clone())),
-                    (
-                        "json",
-                        output
-                            .json
-                            .as_ref()
-                            .map(|j| Json::Str(j.clone()))
-                            .unwrap_or(Json::Null),
-                    ),
+                    ("text", output.text.clone().into()),
+                    ("json", output.json.clone().into()),
                 ]),
             ));
         }
         JobState::Failed(message) => {
-            members.push(("status", Json::Str("failed".into())));
-            members.push(("error", Json::Str(message.clone())));
+            members.push(("status", "failed".into()));
+            members.push(("error", message.clone().into()));
         }
     }
     (200, Json::obj(members))
@@ -456,13 +449,10 @@ fn stream_analyze<R: BufRead>(
     (
         200,
         Json::obj(vec![
-            ("text", Json::Str(algoprof::render_set(&report.profiles))),
-            (
-                "stream_fits",
-                Json::Str(algoprof::render_stream_fits(&report)),
-            ),
-            ("events", Json::Num(report.events as f64)),
-            ("bytes", Json::Num(report.bytes as f64)),
+            ("text", algoprof::render_set(&report.profiles).into()),
+            ("stream_fits", algoprof::render_stream_fits(&report).into()),
+            ("events", report.events.into()),
+            ("bytes", report.bytes.into()),
         ]),
     )
 }
@@ -475,7 +465,7 @@ fn options_from_query(query: &str) -> Result<algoprof::AlgoProfOptions, String> 
         let (k, v) = pair
             .split_once('=')
             .ok_or_else(|| format!("malformed query parameter {pair:?}"))?;
-        members.push((k.to_owned(), Json::Str(v.to_owned())));
+        members.push((k.to_owned(), v.to_owned().into()));
     }
     options_from_json(Some(&Json::Obj(members)))
 }

@@ -5,6 +5,8 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
+use algoprof_vm::json::{self, Json};
+
 fn algoprof(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_algoprof"))
         .args(args)
@@ -234,14 +236,24 @@ fn events_dumps_a_recording() {
     let out = algoprof(&["events", trace.to_str().unwrap(), "--json"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let json = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(json.lines().count() > 0);
+    assert_eq!(json.lines().count(), text.lines().count());
     for line in json.lines() {
         assert!(
             line.starts_with("{\"thread\": 0, \"event\": \""),
             "line: {line}"
         );
-        assert!(line.ends_with('}'), "line: {line}");
+        let event = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(event.get("thread").and_then(Json::as_u64), Some(0));
+        assert!(event.get("event").and_then(Json::as_str).is_some());
     }
+    let writes: Vec<Json> = json
+        .lines()
+        .map(|l| json::parse(l).expect("parses"))
+        .filter(|e| e.get("event").and_then(Json::as_str) == Some("field_write"))
+        .collect();
+    assert_eq!(writes.len(), 3);
+    assert_eq!(writes[0].get("field").and_then(Json::as_str), Some("next"));
+    assert_eq!(writes[0].get("value"), Some(&Json::Null));
 
     // --limit caps the output line count.
     let out = algoprof(&["events", trace.to_str().unwrap(), "--limit", "2"]);
@@ -323,6 +335,8 @@ fn events_thread_column_and_filter_on_a_threaded_recording() {
             line.starts_with("{\"thread\": 1, \"event\": \""),
             "line: {line}"
         );
+        let event = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(event.get("thread").and_then(Json::as_u64), Some(1));
     }
 
     // Malformed --thread values are usage errors (exit 2).
@@ -472,10 +486,24 @@ fn costfn_reports_symbolic_costs_and_features() {
     let out = algoprof(&["costfn", prog.to_str().unwrap(), "--json"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let json = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(json.contains("\"repetitions\""), "stdout: {json}");
-    assert!(json.contains("\"coeff\": 0.5"), "stdout: {json}");
-    assert!(json.contains("\"array-access\""), "stdout: {json}");
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    let doc = json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert_eq!(doc.get("program").and_then(Json::as_str), prog.to_str());
+    let reps = doc.get("repetitions").and_then(Json::as_arr).expect("rows");
+    let sort = reps
+        .iter()
+        .find(|r| r.get("class").and_then(Json::as_str) == Some("O(n^2)"))
+        .unwrap_or_else(|| panic!("no quadratic repetition: {json}"));
+    let leading = sort.get("leading").expect("leading term");
+    assert_eq!(leading.get("degree").and_then(Json::as_u64), Some(2));
+    assert_eq!(leading.get("coeff").and_then(Json::as_f64), Some(0.5));
+    let features = sort.get("features").expect("features");
+    assert!(
+        features
+            .get("array-access")
+            .and_then(Json::as_str)
+            .is_some(),
+        "stdout: {json}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -602,6 +630,84 @@ fn disasm_cfg_matches_golden_dot() {
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(!text.contains("digraph"), "stdout: {text}");
     assert!(text.contains("prof_loop_entry"), "stdout: {text}");
+}
+
+/// Every `--json` report, byte for byte against fixtures captured before
+/// the reports moved onto the shared JSON writer. Paths are relative to
+/// the crate root because the reports echo them.
+#[test]
+fn json_reports_match_golden_bytes() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let run = |args: &[&str]| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_algoprof"))
+            .args(args)
+            .current_dir(root)
+            .output()
+            .expect("spawns the algoprof binary")
+    };
+    let dir = std::env::temp_dir().join(format!("algoprof-cli-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let check = |name: &str, actual: &[u8]| {
+        let golden = std::fs::read(Path::new(root).join("tests/fixtures").join(name))
+            .expect("reads fixture");
+        assert!(
+            actual == golden.as_slice(),
+            "{name} drifted from its golden bytes; got:\n{}",
+            String::from_utf8_lossy(actual)
+        );
+    };
+
+    let sort = "../../examples/sized_insertion_sort_array.jay";
+    for (name, program, sizes) in [
+        ("sweep_insertion_sort.json", sort, "8,16,32,64"),
+        (
+            "sweep_parallel_sum.json",
+            "../../examples/parallel_sum.jay",
+            "8,16,32",
+        ),
+    ] {
+        let path = dir.join(name);
+        let path = path.to_str().unwrap();
+        let out = run(&[
+            "sweep", program, "--sizes", sizes, "--quiet", "--json", path,
+        ]);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        check(name, &std::fs::read(path).expect("reads report"));
+    }
+
+    let out = run(&["lint", "tests/fixtures/lint_frozen_loop.jay", "--json"]);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    check("lint_frozen_loop.json", &out.stdout);
+    for (name, args) in [
+        ("lint_clean.json", vec!["lint", sort, "--json"]),
+        ("costfn_insertion_sort.json", vec!["costfn", sort, "--json"]),
+        (
+            "opstats_insertion_sort.json",
+            vec!["opstats", sort, "--input", "16", "--json", "--top", "4"],
+        ),
+    ] {
+        let out = run(&args);
+        assert!(out.status.success(), "stderr: {}", stderr(&out));
+        check(name, &out.stdout);
+    }
+
+    let trace = dir.join("locked_counter.aptr");
+    let trace = trace.to_str().unwrap();
+    let args = [
+        "record",
+        "../../examples/locked_counter.jay",
+        "--input",
+        "16",
+        "-o",
+        trace,
+    ];
+    let out = run(&args);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let out = run(&["events", trace, "--json", "--limit", "40"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    check("events_locked_counter.jsonl", &out.stdout);
+
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Decoding a recording into human-readable or JSON-lines events.
 //!
 //! [`DumpSink`] is an [`EventSink`] that renders each event it observes
-//! with the [`Event`](algoprof_vm::Event) serializer — one line per event
+//! with the [`Event`] serializer — one line per event
 //! — and writes it to an `io::Write` backend. Drive it from a
 //! [`TraceReplayer`](crate::TraceReplayer) to turn a `.aptr` recording
 //! into text (the `algoprof events` subcommand does exactly that).
@@ -12,6 +12,7 @@
 
 use std::io::{self, Write};
 
+use algoprof_vm::json::Json;
 use algoprof_vm::{Event, EventCx, EventSink};
 
 /// Renders events as lines (text or JSON) into an `io::Write` backend.
@@ -86,10 +87,10 @@ impl<W: Write> EventSink for DumpSink<W> {
             return;
         }
         let line = if self.json {
-            // Splice the delivery thread in as the first key so every
-            // JSON line is self-describing: {"thread": N, "event": ...}.
-            let body = ev.render_json(cx.program);
-            format!("{{\"thread\": {}, {}", self.thread, &body[1..])
+            // The delivery thread leads every line: {"thread": N, "event": ...}.
+            let mut members = vec![("thread", Json::from(self.thread))];
+            members.extend(ev.json_members(cx.program));
+            Json::obj(members).to_line()
         } else {
             format!("t{} {}", self.thread, ev.render_text(cx.program))
         };

@@ -6,7 +6,7 @@
 //! `algoprof analyze -` reading a pipe) wants the opposite: feed each
 //! network/pipe chunk as it arrives and let analysis overlap ingestion.
 //! [`IncrementalReplayer`] provides that as a push-style wrapper around
-//! the same decoding core ([`TraceReplayer::step`]): [`feed`] appends
+//! the same decoding core (`TraceReplayer::step`): [`feed`] appends
 //! bytes, [`header`] surfaces the decoded [`TraceHeader`] as soon as it
 //! is complete (so the caller can compile the program), and [`advance`]
 //! delivers every event whose bytes are fully buffered, stopping — not
@@ -15,7 +15,7 @@
 //! Suspension is safe because every decode arm performs all cursor reads
 //! before any shadow-heap or frame mutation; a mid-event
 //! [`TraceError::Truncated`] therefore only needs the delta-decoding
-//! registers rolled back (see [`TraceReplayer::mark`]), and the next
+//! registers rolled back (see `TraceReplayer::mark`), and the next
 //! [`advance`] retries the same event from its first byte.
 //!
 //! [`feed`]: IncrementalReplayer::feed

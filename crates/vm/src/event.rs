@@ -33,10 +33,9 @@
 //! keep their historical gating: they are emitted only when the program
 //! element is tracked, so an uninstrumented run stays silent.
 
-use std::fmt::Write as _;
-
 use crate::bytecode::{ClassId, CompiledProgram, ElemKind, FieldId, FuncId, LoopId, Opcode};
 use crate::heap::{ArrRef, Heap, ObjRef, Value};
+use crate::json::Json;
 
 /// Identifies a guest thread. Thread 0 is the main thread; spawned
 /// threads get dense ids in spawn order, which the deterministic
@@ -457,40 +456,6 @@ impl<S: EventSink> EventSink for Fanout<S> {
     }
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn json_value(out: &mut String, v: Value) {
-    match v {
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Null => out.push_str("null"),
-        Value::Obj(o) => {
-            let _ = write!(out, "\"obj@{}\"", o.0);
-        }
-        Value::Arr(a) => {
-            let _ = write!(out, "\"arr@{}\"", a.0);
-        }
-    }
-}
-
 fn elem_kind_name(elem: ElemKind) -> &'static str {
     match elem {
         ElemKind::Int => "int",
@@ -618,93 +583,93 @@ impl Event {
         }
     }
 
-    /// Renders the event as one single-line JSON object (JSON-lines
-    /// friendly), resolving ids to names through `program`.
-    pub fn render_json(&self, program: &CompiledProgram) -> String {
-        let mut out = String::with_capacity(64);
-        let _ = write!(out, "{{\"event\": \"{}\"", self.name());
-        let str_field = |out: &mut String, key: &str, val: &str| {
-            let _ = write!(out, ", \"{key}\": \"");
-            json_escape(out, val);
-            out.push('"');
+    /// The event's JSON object members, `"event"` first, ids resolved to
+    /// names through `program`; a caller may prepend members of its own.
+    pub fn json_members(&self, program: &CompiledProgram) -> Vec<(&'static str, Json)> {
+        let value = |v: Value| match v {
+            Value::Int(i) => Json::from(i),
+            Value::Bool(b) => Json::Bool(b),
+            Value::Null => Json::Null,
+            Value::Obj(_) | Value::Arr(_) => Json::Str(v.to_string()),
         };
-        match *self {
+        let method = |func: FuncId| Json::from(program.func(func).name.as_str());
+        let class = |class: ClassId| Json::from(program.class(class).name.as_str());
+        let mut members = vec![("event", self.name().into())];
+        members.extend(match *self {
             Event::MethodEntry { func } | Event::MethodExit { func } => {
-                str_field(&mut out, "method", &program.func(func).name);
+                vec![("method", method(func))]
             }
             Event::LoopEntry { l } | Event::LoopBackEdge { l } | Event::LoopExit { l } => {
-                str_field(&mut out, "loop", &program.loop_info(l).name);
+                vec![("loop", program.loop_info(l).name.as_str().into())]
             }
-            Event::FieldRead { obj, field } => {
+            Event::FieldRead { obj: o, field } => {
                 let f = program.field(field);
-                str_field(&mut out, "obj", &obj.to_string());
-                str_field(&mut out, "class", &program.class(f.class).name);
-                str_field(&mut out, "field", &f.name);
+                vec![
+                    ("obj", o.to_string().into()),
+                    ("class", class(f.class)),
+                    ("field", f.name.as_str().into()),
+                ]
             }
             Event::FieldWrite {
-                obj,
+                obj: o,
                 field,
-                value,
+                value: v,
                 tracked,
             } => {
                 let f = program.field(field);
-                str_field(&mut out, "obj", &format!("obj@{}", obj.0));
-                str_field(&mut out, "class", &program.class(f.class).name);
-                str_field(&mut out, "field", &f.name);
-                out.push_str(", \"value\": ");
-                json_value(&mut out, value);
-                let _ = write!(out, ", \"tracked\": {tracked}");
+                vec![
+                    ("obj", value(Value::Obj(o))),
+                    ("class", class(f.class)),
+                    ("field", f.name.as_str().into()),
+                    ("value", value(v)),
+                    ("tracked", tracked.into()),
+                ]
             }
-            Event::ArrayRead { arr } => {
-                str_field(&mut out, "arr", &arr.to_string());
-            }
+            Event::ArrayRead { arr: a } => vec![("arr", a.to_string().into())],
             Event::ArrayWrite {
-                arr,
+                arr: a,
                 index,
-                value,
+                value: v,
                 tracked,
-            } => {
-                str_field(&mut out, "arr", &format!("arr@{}", arr.0));
-                let _ = write!(out, ", \"index\": {index}, \"value\": ");
-                json_value(&mut out, value);
-                let _ = write!(out, ", \"tracked\": {tracked}");
-            }
+            } => vec![
+                ("arr", value(Value::Arr(a))),
+                ("index", index.into()),
+                ("value", value(v)),
+                ("tracked", tracked.into()),
+            ],
             Event::ObjectAlloc {
-                obj,
-                class,
+                obj: o,
+                class: c,
                 tracked,
-            } => {
-                str_field(&mut out, "obj", &format!("obj@{}", obj.0));
-                str_field(&mut out, "class", &program.class(class).name);
-                let _ = write!(out, ", \"tracked\": {tracked}");
-            }
-            Event::ArrayAlloc { arr, elem, len } => {
-                str_field(&mut out, "arr", &format!("arr@{}", arr.0));
-                str_field(&mut out, "elem", elem_kind_name(elem));
-                let _ = write!(out, ", \"len\": {len}");
-            }
-            Event::InputRead | Event::OutputWrite => {}
+            } => vec![
+                ("obj", value(Value::Obj(o))),
+                ("class", class(c)),
+                ("tracked", tracked.into()),
+            ],
+            Event::ArrayAlloc { arr: a, elem, len } => vec![
+                ("arr", value(Value::Arr(a))),
+                ("elem", elem_kind_name(elem).into()),
+                ("len", len.into()),
+            ],
+            Event::InputRead | Event::OutputWrite => vec![],
             Event::ThreadSpawn { thread, func } => {
-                let _ = write!(out, ", \"thread\": {}", thread.0);
-                str_field(&mut out, "method", &program.func(func).name);
+                vec![("thread", thread.0.into()), ("method", method(func))]
             }
             Event::ThreadSwitch { thread } | Event::ThreadEnd { thread } => {
-                let _ = write!(out, ", \"thread\": {}", thread.0);
+                vec![("thread", thread.0.into())]
             }
-            Event::LockAcquire { obj, contended } => {
-                str_field(&mut out, "obj", &obj.to_string());
-                let _ = write!(out, ", \"contended\": {contended}");
-            }
-            Event::LockRelease { obj } | Event::LockWait { obj } => {
-                str_field(&mut out, "obj", &obj.to_string());
+            Event::LockAcquire { obj: o, contended } => vec![
+                ("obj", o.to_string().into()),
+                ("contended", contended.into()),
+            ],
+            Event::LockRelease { obj: o } | Event::LockWait { obj: o } => {
+                vec![("obj", o.to_string().into())]
             }
             Event::Instruction { func, op } => {
-                str_field(&mut out, "op", op.name());
-                str_field(&mut out, "method", &program.func(func).name);
+                vec![("op", op.name().into()), ("method", method(func))]
             }
-        }
-        out.push('}');
-        out
+        });
+        members
     }
 }
 
@@ -969,7 +934,7 @@ mod tests {
         let text = ev.render_text(&program);
         assert!(text.starts_with("loop_entry "), "got {text}");
         assert!(text.contains("Main.main"), "got {text}");
-        let json = ev.render_json(&program);
+        let json = Json::obj(ev.json_members(&program)).to_line();
         assert!(json.starts_with("{\"event\": \"loop_entry\""), "got {json}");
         assert!(json.contains("\"loop\": \""), "got {json}");
 
@@ -986,9 +951,23 @@ mod tests {
              class Node { int v; }",
         )
         .expect("compiles");
-        let json = ev.render_json(&program);
+        let json = Json::obj(ev.json_members(&program)).to_line();
         assert!(json.contains("\"value\": 7"), "got {json}");
         assert!(json.contains("\"tracked\": true"), "got {json}");
         assert!(json.contains("\"field\": \"v\""), "got {json}");
+
+        // Guest ints print exactly: i64::MAX does not pass through f64.
+        for v in [i64::MAX, i64::MIN] {
+            let ev = Event::ArrayWrite {
+                arr: ArrRef(3),
+                index: 1,
+                value: Value::Int(v),
+                tracked: false,
+            };
+            let json = Json::obj(ev.json_members(&program)).to_line();
+            assert!(json.contains(&format!("\"value\": {v}, ")), "got {json}");
+            let parsed = crate::json::parse(&json).expect("parses");
+            assert_eq!(parsed.get("value").and_then(Json::as_i64), Some(v));
+        }
     }
 }

@@ -24,8 +24,8 @@
 //!   untracked (no read event to reorder) and every constituent shares
 //!   one source line (null-dereference attribution unchanged);
 //! * `ProfLoopEntry`/`ProfLoopExit` pseudo-instructions are never fused,
-//!   and the fused back-edge jump carries its [`LoopId`] verbatim, so
-//!   loop ordinals stay paired with the `indexflow` hints;
+//!   and the fused back-edge jump carries its [`LoopId`](crate::LoopId)
+//!   verbatim, so loop ordinals stay paired with the `indexflow` hints;
 //! * a window is only fused when no branch or handler boundary targets
 //!   its interior, and all jump targets / handler ranges are remapped
 //!   through the old→new pc map afterwards.

@@ -282,7 +282,7 @@ impl Heap {
     /// value already present — leaves every cached snapshot exact and
     /// must not invalidate it. Any write where the old or new value is a
     /// reference changes (or may change) the object's out-edges and
-    /// re-stamps as [`Heap::object_mut`] does.
+    /// re-stamps as [`Heap::fields_mut`] does.
     pub fn set_field(&mut self, r: ObjRef, slot: usize, value: Value) {
         let o = &self.objects[r.0 as usize];
         assert!((slot as u32) < o.len, "field slot out of range");

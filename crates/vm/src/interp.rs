@@ -260,7 +260,7 @@ impl<'p> Interp<'p> {
     /// to completion, reporting events to `sink`.
     ///
     /// Threads run under a deterministic cooperative round-robin
-    /// scheduler: each gets a fixed [`QUANTUM`] of yield points, then the
+    /// scheduler: each gets a fixed quantum (`QUANTUM`) of yield points, then the
     /// next runnable thread (in spawn order) takes over. The schedule is
     /// a pure function of the program and its input, so repeated runs —
     /// at any host parallelism — produce byte-identical event streams.

@@ -57,6 +57,7 @@ pub mod hir;
 pub mod indexflow;
 pub mod instrument;
 pub mod interp;
+pub mod json;
 pub mod lexer;
 pub mod loops;
 pub mod opstats;

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 
 use crate::bytecode::Opcode;
 use crate::event::{Event, EventCx, EventSink};
+use crate::json::{self, Json};
 
 /// Aggregated opcode statistics over one or more program runs.
 #[derive(Clone)]
@@ -142,29 +143,23 @@ impl OpStats {
 
     /// JSON report with the same content as [`OpStats::render_text`].
     pub fn render_json(&self, n: usize) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = write!(out, "  \"instructions\": {},\n  \"opcodes\": [", self.total);
-        for (i, (op, c)) in self.top_opcodes(n).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {{\"op\": \"{}\", \"count\": {c}}}", op.name());
-        }
-        out.push_str("\n  ],\n  \"pairs\": [");
-        for (i, (a, b, c)) in self.top_pairs(n).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"first\": \"{}\", \"second\": \"{}\", \"count\": {c}}}",
-                a.name(),
-                b.name()
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let opcodes = self
+            .top_opcodes(n)
+            .into_iter()
+            .map(|(op, c)| Json::obj(vec![("op", op.name().into()), ("count", c.into())]));
+        let pairs = self.top_pairs(n).into_iter().map(|(a, b, c)| {
+            Json::obj(vec![
+                ("first", a.name().into()),
+                ("second", b.name().into()),
+                ("count", c.into()),
+            ])
+        });
+        let members = vec![
+            ("instructions", self.total.into()),
+            ("opcodes", Json::Arr(opcodes.collect())),
+            ("pairs", Json::Arr(pairs.collect())),
+        ];
+        json::report(members, &["opcodes", "pairs"])
     }
 }
 

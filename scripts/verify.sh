@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
